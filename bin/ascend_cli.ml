@@ -106,6 +106,12 @@ let exit_of = function
     prerr_endline ("error: " ^ e);
     1
 
+(* spec construction and the serving runs reject malformed input (bad
+   numbers, duplicate models, an unservable placement) with
+   [Invalid_argument]; report it through the same one-line error *)
+let exit_of_checked f =
+  exit_of (try f () with Invalid_argument msg -> Error msg)
+
 (* --- simulate ----------------------------------------------------- *)
 
 let simulate build config batch training =
@@ -353,7 +359,7 @@ let serve models core cores rates duration batch_max delay_ms queue_depth
     bucket_ms costing json_path trace_path =
   let n = List.length models in
   let ( let* ) = Result.bind in
-  exit_of
+  exit_of_checked @@ fun () ->
     (let* rates = broadcast ~what:"--rate" n rates in
      let* slos = broadcast ~what:"--slo-ms" n slos in
      let* priorities = broadcast ~what:"--priority" n priorities in
@@ -537,7 +543,7 @@ let decode core rate duration seed process burst_factor burst_period_ms
     prompt_mean prompt_max output_mean output_max fixed_prompt fixed_output
     batch_max hbm_mb max_cache_len mode small_llm costing json_path trace_path
     =
-  exit_of
+  exit_of_checked @@ fun () ->
     (let process =
        match process with
        | `Uniform -> Load_gen.Uniform
@@ -733,7 +739,7 @@ let fleet models core nodes cores_per_node policy replicas rates duration
     train_batch node_hbm_gb costing json_path pagein_path trace_path =
   let n = List.length models in
   let ( let* ) = Result.bind in
-  exit_of
+  exit_of_checked @@ fun () ->
     (let* rates = broadcast ~what:"--rate" n rates in
      let* slos = broadcast ~what:"--slo-ms" n slos in
      let* priorities = broadcast ~what:"--priority" n priorities in
@@ -809,15 +815,11 @@ let fleet models core nodes cores_per_node policy replicas rates duration
          trace_path
      in
      let* r =
-       (* Placement.build raises on unservable models (weights + reserved
-          KV cache over a node's HBM); surface that as a clean CLI error *)
-       try
-         match collector with
-         | None -> Fleet.run ?train config specs
-         | Some c ->
-           Ascend.Obs.Hook.with_collector c (fun () ->
-               Fleet.run ?train config specs)
-       with Invalid_argument msg -> Error msg
+       match collector with
+       | None -> Fleet.run ?train config specs
+       | Some c ->
+         Ascend.Obs.Hook.with_collector c (fun () ->
+             Fleet.run ?train config specs)
      in
      Format.printf "%a" Fleet.pp r;
      (match json_path with

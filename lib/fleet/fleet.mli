@@ -1,16 +1,17 @@
-(** The simulated inference fleet: N server nodes (each an
-    {!Ascend_cluster.Server} hosting per-model
-    {!Ascend_serving.Batcher}s and the QoS dispatch of
-    {!Ascend_serving.Serve} over its cores), fronted by a {!Router}
-    that places every request against a {!Placement} plan.
+(** The simulated inference fleet: N server nodes, each an
+    {!Ascend_cluster.Server} with per-model {!Ascend_serving.Batcher}s
+    over its cores, fronted by a {!Router} that places every request
+    against a {!Placement} plan.  [run] drives the one serving kernel,
+    {!Ascend_serving.Loop}, over [nodes] nodes of [cores_per_node]
+    cores; {!Ascend_serving.Serve.run} is its one-node case.  The fleet
+    adds, through the kernel's callbacks and around the run:
 
-    Semantics, relative to single-node serving:
-
-    - {b routing}: each arrival is routed to one node by the configured
-      policy, then flows through that node's batcher/scheduler exactly
-      as in [Serve.run];
-    - {b page-in}: dispatching a model's first batch on a node where the
-      placement plan did not make it resident stalls the batch for
+    - {b routing}: the kernel's [route] callback sends each arrival to
+      one node by the configured policy; there it flows through that
+      node's batchers and [Scheduler.run] exactly as on a single node;
+    - {b page-in}: the kernel's [stall] callback.  Dispatching a model's
+      first batch on a node where the placement plan did not make it
+      resident stalls the batch for
       [weight_bytes / interconnect bandwidth] — the weights stream in
       over the server's inter-group bus ({!Ascend_cluster.Server.link_bandwidth})
       — after which the model is resident on that node;
@@ -152,9 +153,12 @@ type result = {
 val run :
   ?train:train_job -> config -> model_spec list -> (result, string) Stdlib.result
 (** Raises [Invalid_argument] on malformed config (non-positive nodes /
-    cores / duration, duplicate models, empty specs, closed-loop with
-    [clients < 1], train job outside [0, nodes]).  Returns [Error] when
-    a model fails to compile on the configured core. *)
+    cores, non-positive or non-finite duration / bucket, duplicate
+    models, empty specs, closed-loop with [clients < 1], train job
+    outside [1, nodes]) and on a model whose weights + KV cache exceed a
+    node's HBM.  Returns [Error] when a model fails to compile on the
+    configured core, the training job fails, or the placement plan
+    overcommits a node. *)
 
 val model_weight_bytes : (batch:int -> Ascend_nn.Graph.t) -> int
 (** Resident weight footprint of a model: the fused graph's weight

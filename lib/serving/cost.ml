@@ -10,6 +10,8 @@ type entry = Surrogate.entry = {
 
 type costing = [ `Exact | `Surrogate ]
 
+let costing_name = function `Exact -> "exact" | `Surrogate -> "surrogate"
+
 (* One private execution service per oracle: serving sweeps re-price the
    same handful of (model, batch) pairs thousands of times, and every
    repeat resolves in the service's content-addressed cache at the
@@ -112,3 +114,24 @@ let misses t = t.misses
 let interpolated t = t.interpolated
 let fallbacks t = t.fallbacks
 let stats t = Service.stats t.service
+
+let counters_json ~hits ~misses ~interpolated ~fallbacks
+    (stats : Ascend_exec.Cache.stats) =
+  Ascend_util.Json.(
+    Obj
+      [
+        ("hits", Int hits);
+        ("misses", Int misses);
+        ("interpolated", Int interpolated);
+        ("fallbacks", Int fallbacks);
+        ("disk_hits", Int stats.Ascend_exec.Cache.disk_hits);
+        ("disk_writes", Int stats.Ascend_exec.Cache.disk_writes);
+        ("disk_entries", Int stats.Ascend_exec.Cache.disk_entries);
+      ])
+
+let pp_tiers ppf ~costing ~interpolated ~fallbacks stats =
+  if costing = `Surrogate then
+    Format.fprintf ppf
+      "surrogate: %d interpolated lookups, %d out-of-range fallbacks@."
+      interpolated fallbacks;
+  Format.fprintf ppf "exec cache: %a@." Ascend_exec.Cache.pp_stats stats

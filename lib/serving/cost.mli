@@ -33,6 +33,9 @@ type entry = Ascend_cost.Surrogate.entry = {
 
 type costing = [ `Exact | `Surrogate ]
 
+val costing_name : costing -> string
+(** ["exact"] or ["surrogate"], as the reports and the CLI spell it. *)
+
 type t
 
 val create :
@@ -67,3 +70,15 @@ val fallbacks : t -> int
 
 val stats : t -> Ascend_exec.Cache.stats
 (** The private service's cache counters, disk tier included. *)
+
+val counters_json :
+  hits:int -> misses:int -> interpolated:int -> fallbacks:int ->
+  Ascend_exec.Cache.stats -> Ascend_util.Json.t
+(** The ["cost_cache"] object of a serving report: the four counters
+    above plus the disk-tier counters of {!stats}. *)
+
+val pp_tiers :
+  Format.formatter -> costing:costing -> interpolated:int -> fallbacks:int ->
+  Ascend_exec.Cache.stats -> unit
+(** The closing lines of a serving report: the surrogate line (under
+    [`Surrogate] only), then the exec-cache line. *)

@@ -12,12 +12,24 @@ type t = {
   seed : int;
 }
 
+(* NaN fails every comparison, and an infinite rate draws zero-length
+   interarrivals that never advance the clock: both would hang
+   [arrivals], so non-finite values are rejected before the range
+   checks *)
 let create ?(process = Poisson) ~rate_per_s ~duration_s ~seed () =
+  let finite what x =
+    if not (Float.is_finite x) then
+      invalid_arg ("Load_gen.create: non-finite " ^ what)
+  in
+  finite "rate" rate_per_s;
+  finite "duration" duration_s;
   if rate_per_s <= 0. then invalid_arg "Load_gen.create: non-positive rate";
   if duration_s <= 0. then
     invalid_arg "Load_gen.create: non-positive duration";
   (match process with
   | Bursty { factor; period_s } ->
+    finite "bursty factor" factor;
+    finite "burst period" period_s;
     if factor < 1. then invalid_arg "Load_gen.create: bursty factor < 1";
     if period_s <= 0. then
       invalid_arg "Load_gen.create: non-positive burst period"

@@ -29,8 +29,9 @@ type t = {
 val create :
   ?process:process -> rate_per_s:float -> duration_s:float -> seed:int ->
   unit -> t
-(** Default process {!Poisson}.  Raises [Invalid_argument] on
-    non-positive rate/duration, a bursty [factor < 1] or non-positive
+(** Default process {!Poisson}.  Raises [Invalid_argument] on a
+    non-finite (NaN or infinite) or non-positive rate/duration, a
+    non-finite or [< 1] bursty [factor], or a non-finite or non-positive
     [period_s]. *)
 
 val arrivals : t -> float list

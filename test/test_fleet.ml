@@ -280,6 +280,114 @@ let test_fleet_json_shape () =
         "batches"; "cost_cache" ]
   | Ok _ -> Alcotest.fail "expected a JSON object"
 
+(* ------------------------------------------------------------------ *)
+(* Serve.run is the one-node case of Fleet.run                         *)
+
+let test_serve_is_one_node_fleet () =
+  let cores = 2 and duration_s = 0.1 in
+  let cases =
+    [
+      ( "open-loop poisson", `Exact,
+        [
+          ( "gesture", gesture, 5,
+            Serve.Open_loop
+              (Load_gen.create ~rate_per_s:2000. ~duration_s ~seed:5 ()) );
+          ( "face-detect", face_detect, 0,
+            Serve.Open_loop
+              (Load_gen.create ~rate_per_s:800. ~duration_s ~seed:6 ()) );
+        ] );
+      ( "closed-loop think time", `Exact,
+        [
+          ( "gesture", gesture, 0,
+            Serve.Closed_loop { clients = 3; think_s = 1e-3; seed = 7 } );
+          ( "face-detect", face_detect, 2,
+            Serve.Closed_loop { clients = 2; think_s = 1e-3; seed = 8 } );
+        ] );
+      ( "bursty surrogate", `Surrogate,
+        [
+          ( "gesture", gesture, 0,
+            Serve.Open_loop
+              (Load_gen.create
+                 ~process:(Load_gen.Bursty { factor = 4.; period_s = 0.02 })
+                 ~rate_per_s:3000. ~duration_s ~seed:9 ()) );
+        ] );
+    ]
+  in
+  List.iter
+    (fun (label, costing, models) ->
+      let sconfig =
+        {
+          (Serve.default_config ~core:Config.tiny ~cores) with
+          Serve.duration_s;
+          queue_depth = 16;
+          costing;
+        }
+      in
+      let fconfig =
+        {
+          (Fleet.default_config ~core:Config.tiny ~nodes:1) with
+          Fleet.cores_per_node = cores;
+          max_batch = sconfig.Serve.max_batch;
+          max_delay_s = sconfig.Serve.max_delay_s;
+          queue_depth = sconfig.Serve.queue_depth;
+          duration_s;
+          bucket_s = sconfig.Serve.bucket_s;
+          policy = Router.Round_robin;
+          costing;
+        }
+      in
+      let sspecs =
+        List.map
+          (fun (name, build, priority, workload) ->
+            { Serve.name; build; priority; slo_ms = 20.; workload })
+          models
+      in
+      let fspecs =
+        List.map
+          (fun (s : Serve.model_spec) ->
+            {
+              Fleet.name = s.Serve.name;
+              build = s.Serve.build;
+              priority = s.Serve.priority;
+              slo_ms = s.Serve.slo_ms;
+              workload = s.Serve.workload;
+              replicas = 0;
+              kv_bytes = 0;
+            })
+          sspecs
+      in
+      let s =
+        match Serve.run sconfig sspecs with
+        | Ok r -> r
+        | Error e -> Alcotest.fail e
+      in
+      let f = run_ok fconfig fspecs in
+      let check what = Alcotest.(check bool) (label ^ ": " ^ what) true in
+      check "requests flowed" (s.Serve.records <> []);
+      check "records" (s.Serve.records = List.map snd f.Fleet.records);
+      check "batches"
+        (List.map
+           (fun (b : Serve.batch_exec) ->
+             ( b.Serve.bx_model, b.Serve.bx_priority, b.Serve.bx_size,
+               b.Serve.bx_core, b.Serve.bx_start_s, b.Serve.bx_finish_s,
+               b.Serve.bx_cycles ))
+           s.Serve.batches
+        = List.map
+            (fun (b : Fleet.batch_exec) ->
+              ( b.Fleet.bx_model, b.Fleet.bx_priority, b.Fleet.bx_size,
+                b.Fleet.bx_core, b.Fleet.bx_start_s, b.Fleet.bx_finish_s,
+                b.Fleet.bx_cycles ))
+            f.Fleet.batches);
+      Alcotest.(check string) (label ^ ": metrics json")
+        (Json.to_string (Metrics.to_json s.Serve.metrics))
+        (Json.to_string (Metrics.to_json f.Fleet.fleet_metrics));
+      Alcotest.(check (list int)) (label ^ ": cost counters")
+        [ s.Serve.cost_hits; s.Serve.cost_misses; s.Serve.cost_interpolated;
+          s.Serve.cost_fallbacks ]
+        [ f.Fleet.cost_hits; f.Fleet.cost_misses; f.Fleet.cost_interpolated;
+          f.Fleet.cost_fallbacks ])
+    cases
+
 let () =
   Alcotest.run "fleet"
     [
@@ -300,5 +408,7 @@ let () =
           Alcotest.test_case "training colocation" `Quick
             test_training_colocation;
           Alcotest.test_case "json shape" `Quick test_fleet_json_shape;
+          Alcotest.test_case "serve is the one-node case" `Quick
+            test_serve_is_one_node_fleet;
         ] );
     ]

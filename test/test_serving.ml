@@ -49,6 +49,33 @@ let test_load_gen_uniform_spacing () =
         (float_of_int i /. 100.) t)
     a
 
+let test_load_gen_rejects_bad_specs () =
+  let rejects label ?process ~rate ~duration () =
+    Alcotest.(check bool) label true
+      (try
+         ignore
+           (Load_gen.create ?process ~rate_per_s:rate ~duration_s:duration
+              ~seed:0 ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "zero rate" ~rate:0. ~duration:1. ();
+  rejects "nan rate" ~rate:Float.nan ~duration:1. ();
+  rejects "infinite rate" ~rate:Float.infinity ~duration:1. ();
+  rejects "nan duration" ~rate:100. ~duration:Float.nan ();
+  rejects "infinite duration" ~rate:100. ~duration:Float.infinity ();
+  List.iter
+    (fun (label, factor, period_s) ->
+      rejects label
+        ~process:(Load_gen.Bursty { factor; period_s })
+        ~rate:100. ~duration:1. ())
+    [
+      ("nan bursty factor", Float.nan, 0.1);
+      ("infinite bursty factor", Float.infinity, 0.1);
+      ("nan burst period", 4., Float.nan);
+      ("infinite burst period", 4., Float.infinity);
+    ]
+
 let arrivals_well_formed_prop =
   QCheck.Test.make ~count:60 ~name:"arrivals sorted within [0, duration)"
     QCheck.(pair (int_range 0 1000) (int_range 1 3))
@@ -514,6 +541,8 @@ let () =
             test_length_dist_pinned;
           Alcotest.test_case "length dist shape" `Quick
             test_length_dist_shape;
+          Alcotest.test_case "rejects bad specs" `Quick
+            test_load_gen_rejects_bad_specs;
           q arrivals_well_formed_prop;
         ] );
       ( "batcher",
