@@ -40,59 +40,13 @@ let precedes a b =
   || (a.ls_priority = b.ls_priority
      && (a.ready < b.ready || (a.ready = b.ready && a.ls_index < b.ls_index)))
 
-(* array-backed binary heap under [precedes].  A stream's [ready] only
-   mutates while it is popped out of the heap, so the invariant holds. *)
-module Heap = struct
-  type t = { mutable a : live_stream array; mutable n : int }
+(* streams with work, in [precedes] order.  A stream's [ready] only
+   mutates while it is popped out of the heap, so the order holds. *)
+module Heap = Ascend_util.Heap.Make (struct
+  type t = live_stream
 
-  let create () = { a = [||]; n = 0 }
-
-  let swap h i j =
-    let t = h.a.(i) in
-    h.a.(i) <- h.a.(j);
-    h.a.(j) <- t
-
-  let rec up h i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if precedes h.a.(i) h.a.(p) then begin
-        swap h i p;
-        up h p
-      end
-    end
-
-  let rec down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = ref i in
-    if l < h.n && precedes h.a.(l) h.a.(!m) then m := l;
-    if r < h.n && precedes h.a.(r) h.a.(!m) then m := r;
-    if !m <> i then begin
-      swap h i !m;
-      down h !m
-    end
-
-  let push h s =
-    if h.n = Array.length h.a then begin
-      let a = Array.make (max 4 (2 * h.n)) s in
-      Array.blit h.a 0 a 0 h.n;
-      h.a <- a
-    end;
-    h.a.(h.n) <- s;
-    h.n <- h.n + 1;
-    up h (h.n - 1)
-
-  let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.n <- h.n - 1;
-      if h.n > 0 then begin
-        h.a.(0) <- h.a.(h.n);
-        down h 0
-      end;
-      Some top
-    end
-end
+  let precedes = precedes
+end)
 
 let validate_inputs ~cores apps =
   if cores <= 0 then invalid_arg "Scheduler.run: non-positive cores";

@@ -12,7 +12,8 @@ type verdict = Admitted | Shed
 let create ?(label = "queue") ~max_batch ~max_delay_s ~queue_depth () =
   if max_batch < 1 then invalid_arg "Batcher.create: max_batch < 1";
   if queue_depth < 1 then invalid_arg "Batcher.create: queue_depth < 1";
-  if max_delay_s < 0. then invalid_arg "Batcher.create: negative max_delay";
+  if not (max_delay_s >= 0. && Float.is_finite max_delay_s) then
+    invalid_arg "Batcher.create: negative or non-finite max_delay";
   {
     label;
     max_batch;

@@ -17,7 +17,8 @@ val create :
   max_batch:int -> max_delay_s:float -> queue_depth:int -> unit -> t
 (** [label] (default ["queue"]) names the queue in observability output
     — the serving loop uses the model name.  Raises [Invalid_argument]
-    on [max_batch < 1], [queue_depth < 1] or negative [max_delay_s]. *)
+    on [max_batch < 1], [queue_depth < 1] or a negative or non-finite
+    [max_delay_s]. *)
 
 val label : t -> string
 val max_batch : t -> int

@@ -56,24 +56,27 @@ let validate ~who ~duration_s ~bucket_s specs =
     fail "duplicate model names";
   List.iter
     (fun s ->
+      if not (s.slo_ms > 0. && Float.is_finite s.slo_ms) then
+        fail "non-positive or non-finite slo";
       match s.workload with
       | Closed_loop { clients; _ } when clients < 1 ->
         fail "closed loop needs at least one client"
+      | Closed_loop { think_s; _ }
+        when not (think_s >= 0. && Float.is_finite think_s) ->
+        fail "negative or non-finite think time"
       | _ -> ())
     specs
 
-(* sorted insertion by (arrival, id).  O(length) per insert, so seeding
-   an n-request trace costs O(n^2): in-order arrivals, the common case,
-   walk the whole list every time. *)
-let rec insert_arrival r = function
-  | [] -> [ r ]
-  | hd :: tl ->
-    if
-      hd.Request.arrival_s < r.Request.arrival_s -. eps
-      || (Float.abs (hd.Request.arrival_s -. r.Request.arrival_s) <= eps
-          && hd.Request.id < r.Request.id)
-    then hd :: insert_arrival r tl
-    else r :: hd :: tl
+(* pending arrivals, earliest first.  Arrival times within [eps] of each
+   other count as equal and break the tie by request id. *)
+module Arrivals = Ascend_util.Heap.Make (struct
+  type t = Request.t
+
+  let precedes a b =
+    a.Request.arrival_s < b.Request.arrival_s -. eps
+    || (Float.abs (a.Request.arrival_s -. b.Request.arrival_s) <= eps
+        && a.Request.id < b.Request.id)
+end)
 
 let batch_stream name ~cycles =
   {
@@ -128,20 +131,19 @@ let run ~cost ~nodes ~cores_per_node ~max_batch ~max_delay_s ~queue_depth
   in
   let spec_index = Hashtbl.create n_models in
   Array.iteri (fun i s -> Hashtbl.replace spec_index s.name i) specs;
-  (* seed the arrival list: the whole open-loop trace, plus one request
-     per closed-loop client at t=0 *)
-  let pending = ref [] in
+  (* seed the arrivals: the whole open-loop trace, plus one request per
+     closed-loop client at t=0 *)
+  let pending = Arrivals.create () in
   Array.iteri
     (fun i s ->
       match s.workload with
       | Open_loop gen ->
         List.iter
-          (fun t ->
-            pending := insert_arrival (fresh_request i ~arrival_s:t) !pending)
+          (fun t -> Arrivals.push pending (fresh_request i ~arrival_s:t))
           (Load_gen.arrivals gen)
       | Closed_loop { clients; _ } ->
         for _ = 1 to clients do
-          pending := insert_arrival (fresh_request i ~arrival_s:0.) !pending
+          Arrivals.push pending (fresh_request i ~arrival_s:0.)
         done)
     specs;
   let core_free = Array.init nodes (fun _ -> Array.make cores_per_node 0.) in
@@ -158,7 +160,7 @@ let run ~cost ~nodes ~cores_per_node ~max_batch ~max_delay_s ~queue_depth
       in
       let t = finish_s +. think in
       if t < duration_s then
-        pending := insert_arrival (fresh_request spec_idx ~arrival_s:t) !pending
+        Arrivals.push pending (fresh_request spec_idx ~arrival_s:t)
     | _ -> ()
   in
   let price spec_idx ~batch =
@@ -255,9 +257,9 @@ let run ~cost ~nodes ~cores_per_node ~max_batch ~max_delay_s ~queue_depth
   in
   let admit now =
     let rec go () =
-      match !pending with
-      | r :: rest when r.Request.arrival_s <= now +. eps ->
-        pending := rest;
+      match Arrivals.top pending with
+      | Some r when r.Request.arrival_s <= now +. eps ->
+        ignore (Arrivals.pop pending);
         let m = Hashtbl.find spec_index r.Request.model in
         let n = route r ~depth in
         let q = queues.(n).(m) in
@@ -275,7 +277,7 @@ let run ~cost ~nodes ~cores_per_node ~max_batch ~max_delay_s ~queue_depth
   let next_time now =
     let best = ref infinity in
     let consider t = if t > now +. eps && t < !best then best := t in
-    (match !pending with r :: _ -> consider r.Request.arrival_s | [] -> ());
+    Option.iter (fun r -> consider r.Request.arrival_s) (Arrivals.top pending);
     Array.iter
       (Array.iter (fun q ->
            match Batcher.deadline q with Some d -> consider d | None -> ()))

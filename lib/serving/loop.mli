@@ -10,11 +10,14 @@
     arrival goes ([route]), what a batch pays before it computes
     ([stall]) and its observability lanes; single-node serving is one
     node, route to 0, no stall.  Decision points are arrivals, batching
-    deadlines and cores becoming free.  At each one the kernel admits
-    every due arrival, then, node by node, drains every ready batch in
-    spec order, prices it and packs the set onto the node's idle cores.
-    Same specs + seeds => same records, batches and lane events, in the
-    same order. *)
+    deadlines and cores becoming free.  Pending arrivals wait in the
+    binary heap {!Arrivals}: seeding a trace and each re-issue,
+    admission and next-arrival lookup cost O(log n) in the pending
+    count.  At each decision point the kernel admits every due
+    arrival, then, node by node, drains every ready batch in spec order,
+    prices it and packs the set onto the node's idle cores.  Same
+    specs + seeds => same records, batches and lane events, in the same
+    order. *)
 
 type workload =
   | Open_loop of Load_gen.t
@@ -66,6 +69,13 @@ type outcome = {
       (** per node, (core, start, finish) spans, most recent first *)
 }
 
+module Arrivals : Ascend_util.Heap.S with type elt = Request.t
+(** The pending-arrival heap: earliest [arrival_s] first, where arrival
+    times within [1e-12] s of each other count as equal and the lower
+    request id goes first.  That order is total while the times within
+    [1e-12] of one another span at most [1e-12], as the float rounding
+    of one time does. *)
+
 val batch_stream : string -> cycles:int -> Ascend_runtime.Scheduler.stream
 (** [batch_stream name ~cycles] is a stream named [name] holding one
     single-block task, also named [name], of [max 1 cycles] cycles: how
@@ -75,7 +85,8 @@ val validate :
   who:string -> duration_s:float -> bucket_s:float -> model_spec list -> unit
 (** Raises [Invalid_argument], prefixed with [who], on a non-positive or
     non-finite duration or bucket width, an empty spec list, duplicate
-    model names or a closed loop with [clients < 1]. *)
+    model names, a non-positive or non-finite [slo_ms], a closed loop
+    with [clients < 1] or a negative or non-finite [think_s]. *)
 
 val run :
   cost:Cost.t ->

@@ -32,6 +32,13 @@ serve gesture --core tiny --duration inf --closed 1
 serve gesture --core tiny --duration 0.1 --process bursty --burst-factor nan
 serve gesture --core tiny --duration 0.1 --process bursty --burst-period-ms inf
 serve gesture,gesture --core tiny --duration 0.1
+serve gesture --core tiny --duration 0.1 --batch-delay-ms nan
+serve gesture --core tiny --duration 0.1 --batch-delay-ms inf
+serve gesture --core tiny --duration 0.1 --batch-delay-ms=-1
+serve gesture --core tiny --duration 0.1 --closed 2 --think-ms nan
+serve gesture --core tiny --duration 0.1 --closed 2 --think-ms=-1
+serve gesture --core tiny --duration 0.1 --slo-ms nan
+serve gesture --core tiny --duration 0.1 --slo-ms=-5
 fleet gesture --core tiny --duration 0.1 --rate 0
 fleet gesture --core tiny --duration 0.1 --rate nan
 fleet gesture --core tiny --duration 0.1 --rate inf
@@ -39,6 +46,12 @@ fleet gesture --core tiny --duration 0.1 --nodes 0
 fleet gesture --core tiny --duration 0.1 --cores-per-node 0
 fleet gesture --core tiny --duration inf --closed 1
 fleet gesture --core tiny --duration 0.1 --nodes 2 --train-nodes 3
+fleet gesture --core tiny --duration 0.1 --batch-delay-ms nan
+fleet gesture --core tiny --duration 0.1 --batch-delay-ms inf
+fleet gesture --core tiny --duration 0.1 --closed 2 --think-ms nan
+fleet gesture --core tiny --duration 0.1 --closed 2 --think-ms=-1
+fleet gesture --core tiny --duration 0.1 --slo-ms nan
+fleet gesture --core tiny --duration 0.1 --slo-ms=-5
 decode --core lite --duration 0.05 --rate 0
 decode --core lite --duration 0.05 --rate nan
 decode --core lite --duration 0.05 --rate inf

@@ -388,6 +388,155 @@ let test_serve_is_one_node_fleet () =
           f.Fleet.cost_fallbacks ])
     cases
 
+(* ------------------------------------------------------------------ *)
+(* Invariants over random small fleets                                 *)
+
+type load = Open of float | Closed of int * float  (* clients, think ms *)
+
+type fleet_case = {
+  nodes : int;
+  cores : int;
+  max_batch : int;
+  delay_ms : float;
+  depth : int;
+  policy : Router.policy;
+  seed : int;
+  models : (string * int * load) list;  (* name, replicas, load *)
+}
+
+let fleet_case_gen =
+  QCheck.Gen.(
+    let model name =
+      let* replicas = int_bound 2 in
+      let* load =
+        oneof
+          [
+            map (fun r -> Open r) (float_range 200. 4000.);
+            map2
+              (fun c t -> Closed (c, t))
+              (int_range 1 4)
+              (oneof [ return 0.; float_bound_inclusive 2. ]);
+          ]
+      in
+      return (name, replicas, load)
+    in
+    let* nodes = int_range 1 3 in
+    let* cores = int_range 1 3 in
+    let* max_batch = int_range 1 6 in
+    let* delay_ms = float_bound_inclusive 4. in
+    let* depth = int_range 1 12 in
+    let* policy = oneofl (List.map snd Router.policies) in
+    let* seed = int_bound 10_000 in
+    let* g = model "gesture" in
+    let* f = model "face-detect" in
+    let* models = oneofl [ [ g ]; [ f ]; [ g; f ] ] in
+    return { nodes; cores; max_batch; delay_ms; depth; policy; seed; models })
+
+let print_fleet_case c =
+  Printf.sprintf
+    "nodes %d cores %d max_batch %d delay %gms depth %d %s seed %d: %s"
+    c.nodes c.cores c.max_batch c.delay_ms c.depth
+    (Router.policy_name c.policy) c.seed
+    (String.concat ", "
+       (List.map
+          (fun (name, replicas, load) ->
+            Printf.sprintf "%s x%d %s" name replicas
+              (match load with
+              | Open r -> Printf.sprintf "open %g/s" r
+              | Closed (k, t) -> Printf.sprintf "closed %d think %gms" k t))
+          c.models))
+
+(* conservation, causality and determinism of Fleet.run: the kernel
+   numbers requests 0, 1, ... as it makes them, so every generated
+   request appearing exactly once means the record ids are exactly
+   0..n-1 and each model's n is what its load generated.  A closed-loop
+   model makes one request per client plus one re-issue per completion
+   whose think time ends inside the window: with zero think time that
+   is every completion finishing before the window closes. *)
+let fleet_invariants_prop =
+  QCheck.Test.make ~count:50 ~name:"random fleets conserve requests"
+    (QCheck.make ~print:print_fleet_case fleet_case_gen)
+    (fun c ->
+      let duration_s = 0.03 in
+      let config =
+        {
+          (Fleet.default_config ~core:Config.tiny ~nodes:c.nodes) with
+          Fleet.cores_per_node = c.cores;
+          duration_s;
+          max_batch = c.max_batch;
+          max_delay_s = c.delay_ms /. 1e3;
+          queue_depth = c.depth;
+          policy = c.policy;
+          costing = `Surrogate;
+        }
+      in
+      let specs =
+        List.mapi
+          (fun i (name, replicas, load) ->
+            {
+              Fleet.name;
+              build = (if name = "gesture" then gesture else face_detect);
+              priority = i;
+              slo_ms = 20.;
+              replicas;
+              kv_bytes = 0;
+              workload =
+                (match load with
+                | Open rate ->
+                  Serve.Open_loop
+                    (Load_gen.create ~rate_per_s:rate ~duration_s
+                       ~seed:(c.seed + i) ())
+                | Closed (clients, think_ms) ->
+                  Serve.Closed_loop
+                    { clients; think_s = think_ms /. 1e3; seed = c.seed + i });
+            })
+          c.models
+      in
+      let r = run_ok config specs in
+      let records = List.map snd r.Fleet.records in
+      let n = List.length records in
+      let generated_ok (s : Fleet.model_spec) =
+        let mine =
+          List.filter
+            (fun rc -> rc.Request.request.Request.model = s.Fleet.name)
+            records
+        in
+        let made = List.length mine in
+        match s.Fleet.workload with
+        | Serve.Open_loop gen -> made = List.length (Load_gen.arrivals gen)
+        | Serve.Closed_loop { clients; think_s; _ } ->
+          let reissued =
+            List.length
+              (List.filter
+                 (fun rc ->
+                   rc.Request.outcome = Request.Completed
+                   && rc.Request.finish_s < duration_s)
+                 mine)
+          in
+          if think_s = 0. then made = clients + reissued
+          else clients <= made && made <= clients + reissued
+      in
+      (* the kernel's float clock counts instants within 1e-12 s as one:
+         a zero-think re-issue can arrive a few ulps after the core-free
+         instant, computed from another batch's start, that dispatches it *)
+      let causal rc =
+        rc.Request.outcome = Request.Rejected
+        || (rc.Request.request.Request.arrival_s <= rc.Request.start_s +. 1e-12
+           && rc.Request.start_s <= rc.Request.finish_s)
+      in
+      let summaries = r.Fleet.fleet_metrics.Metrics.summaries in
+      List.map (fun rc -> rc.Request.request.Request.id) records
+      = List.init n Fun.id
+      && List.for_all generated_ok specs
+      && List.for_all
+           (fun s ->
+             s.Metrics.offered = s.Metrics.completed + s.Metrics.rejected)
+           summaries
+      && List.fold_left (fun a s -> a + s.Metrics.offered) 0 summaries = n
+      && List.for_all causal records
+      && Json.to_string (Fleet.to_json (run_ok config specs))
+         = Json.to_string (Fleet.to_json r))
+
 let () =
   Alcotest.run "fleet"
     [
@@ -410,5 +559,6 @@ let () =
           Alcotest.test_case "json shape" `Quick test_fleet_json_shape;
           Alcotest.test_case "serve is the one-node case" `Quick
             test_serve_is_one_node_fleet;
+          QCheck_alcotest.to_alcotest fleet_invariants_prop;
         ] );
     ]

@@ -8,6 +8,7 @@ module Request = Ascend.Serving.Request
 module Metrics = Ascend.Serving.Metrics
 module Cost = Ascend.Serving.Cost
 module Serve = Ascend.Serving.Serve
+module Loop = Ascend.Serving.Loop
 module Config = Ascend.Arch.Config
 module Json = Ascend.Util.Json
 
@@ -206,6 +207,17 @@ let test_admission_sheds_only_past_depth () =
   Alcotest.(check bool) "admits again after drain" true
     (Batcher.offer b (req 9 1.) = Batcher.Admitted)
 
+let test_batcher_rejects_bad_delay () =
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) (Printf.sprintf "max_delay %g raises" d) true
+        (try
+           ignore
+             (Batcher.create ~max_batch:4 ~max_delay_s:d ~queue_depth:8 ());
+           false
+         with Invalid_argument _ -> true))
+    [ -1e-3; Float.nan; Float.infinity ]
+
 (* random op sequences against a FIFO reference model: drains come out
    in offer order, the shed counter counts exactly the over-depth
    offers, and the live length always agrees with the model *)
@@ -295,6 +307,69 @@ let batcher_ready_iff_prop =
            | None -> false)
       in
       Batcher.ready b ~now = expect)
+
+(* ------------------------------------------------------------------ *)
+(* Pending-arrival order                                              *)
+
+(* the sorted-list insert the serving loop kept its pending arrivals in
+   before Loop.Arrivals, as the reference order *)
+let rec insert_arrival r = function
+  | [] -> [ r ]
+  | hd :: tl ->
+    if
+      hd.Request.arrival_s < r.Request.arrival_s -. 1e-12
+      || (Float.abs (hd.Request.arrival_s -. r.Request.arrival_s) <= 1e-12
+          && hd.Request.id < r.Request.id)
+    then hd :: insert_arrival r tl
+    else r :: hd :: tl
+
+(* random pushes and pops against the list, as seeding, re-issue and
+   admission use it: Some (cluster, slot) pushes a request at
+   cluster x 1 us + slot x 0.3 ps, so a cluster holds exact duplicates
+   and times closer than 1e-12; None pops the earliest.  Ids run up or
+   down against the times.  Clusters stay narrower than 1e-12, as the
+   float rounding of one cycle-derived time makes them in the loop: in
+   a chain of arrivals wider than that the tolerant comparison is not
+   transitive, and the list's own order depends on insertion order. *)
+let arrival_heap_matches_list_prop =
+  QCheck.Test.make ~count:500
+    ~name:"arrival heap pops in insert_arrival order"
+    QCheck.(
+      pair bool
+        (list_of_size (Gen.int_bound 80)
+           (option (pair (int_bound 4) (int_bound 3)))))
+    (fun (ascending, ops) ->
+      let h = Loop.Arrivals.create () in
+      let l = ref [] and ok = ref true in
+      let pop_both () =
+        let expect =
+          match !l with
+          | [] -> None
+          | r :: rest ->
+            l := rest;
+            Some r.Request.id
+        in
+        let got = Option.map (fun r -> r.Request.id) (Loop.Arrivals.pop h) in
+        if got <> expect then ok := false
+      in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Some (cluster, slot) ->
+            let id = if ascending then i else 1000 - i in
+            let t =
+              0.05 +. (float_of_int cluster *. 1e-6)
+              +. (float_of_int slot *. 0.3e-12)
+            in
+            let r = req id t in
+            Loop.Arrivals.push h r;
+            l := insert_arrival r !l
+          | None -> pop_both ())
+        ops;
+      while !l <> [] do
+        pop_both ()
+      done;
+      !ok && Loop.Arrivals.pop h = None)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics vs a hand-computed trace                                    *)
@@ -552,10 +627,13 @@ let () =
           Alcotest.test_case "delay bound" `Quick test_batcher_delay_bound;
           Alcotest.test_case "admission depth" `Quick
             test_admission_sheds_only_past_depth;
+          Alcotest.test_case "rejects bad delay" `Quick
+            test_batcher_rejects_bad_delay;
           q batcher_fifo_model_prop;
           q batcher_sheds_monotone_prop;
           q batcher_ready_iff_prop;
         ] );
+      ( "arrivals", [ q arrival_heap_matches_list_prop ] );
       ( "metrics",
         [
           Alcotest.test_case "hand-computed trace" `Quick

@@ -403,6 +403,64 @@ let test_domain_pool_exception () =
   Domain_pool.shutdown pool;
   Alcotest.(check (list int)) "reusable after failure" [ 2; 3; 4 ] ys
 
+(* ------------------------------------------------------------------ *)
+(* Heap                                                               *)
+
+(* (key, seq): the key orders, the seq breaks ties between equal keys *)
+module Pair_heap = Heap.Make (struct
+  type t = int * int
+
+  let precedes (k1, s1) (k2, s2) = k1 < k2 || (k1 = k2 && s1 < s2)
+end)
+
+let drain h =
+  let rec go acc =
+    match Pair_heap.pop h with None -> List.rev acc | Some x -> go (x :: acc)
+  in
+  go []
+
+(* random pushes (Some key) and pops (None) against a sorted-list model:
+   every top and pop is the model's least element *)
+let heap_model_prop =
+  QCheck.Test.make ~count:500 ~name:"heap pops agree with a sorted-list model"
+    QCheck.(list_of_size (Gen.int_bound 200) (option (int_bound 20)))
+    (fun ops ->
+      let h = Pair_heap.create () in
+      let model = ref [] and ok = ref true in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Some k ->
+            Pair_heap.push h (k, i);
+            model := List.sort compare ((k, i) :: !model)
+          | None ->
+            let expect =
+              match !model with
+              | [] -> None
+              | x :: rest ->
+                model := rest;
+                Some x
+            in
+            if Pair_heap.top h <> expect || Pair_heap.pop h <> expect then
+              ok := false)
+        ops;
+      !ok && drain h = !model)
+
+(* few distinct keys, secondary keys pushed in a shuffled order: equal
+   keys still drain in secondary-key order *)
+let heap_ties_prop =
+  QCheck.Test.make ~count:500
+    ~name:"heap breaks equal keys by the secondary key"
+    QCheck.(
+      pair (int_bound 1000) (list_of_size (Gen.int_bound 200) (int_bound 3)))
+    (fun (seed, keys) ->
+      let seqs = Array.of_list (List.mapi (fun i _ -> i) keys) in
+      Prng.shuffle (Prng.create ~seed) seqs;
+      let pushed = List.mapi (fun i k -> (k, seqs.(i))) keys in
+      let h = Pair_heap.create () in
+      List.iter (Pair_heap.push h) pushed;
+      drain h = List.sort compare pushed)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -462,6 +520,7 @@ let () =
           Alcotest.test_case "known vectors" `Quick test_stable_hash_known;
           Alcotest.test_case "floats" `Quick test_stable_hash_floats;
         ] );
+      ( "heap", [ q heap_model_prop; q heap_ties_prop ] );
       ( "domain-pool",
         [
           Alcotest.test_case "ordered" `Quick test_domain_pool_ordered;
