@@ -1081,8 +1081,8 @@ and two_tier_costing () =
   let module Calibration = Ascend.Cost.Calibration in
   Format.printf
     "@.two-tier costing: 32 closed-loop bert-base clients on a 2-core Max \
-     SoC; every dispatched batch pays one Cost.lookup, so the pricing tier \
-     dominates the wall clock@.";
+     SoC; every dispatched batch pays one Cost.lookup, a memo probe under \
+     the exact tier and an interpolation under the surrogate@.";
   let build ~batch = Ascend.Nn.Bert.base ~batch ~seq_len:128 () in
   let max_batch = 4 in
   let specs =

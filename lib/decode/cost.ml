@@ -1,4 +1,3 @@
-module Engine = Ascend_compiler.Engine
 module Service = Ascend_exec.Service
 module Surrogate = Ascend_cost.Surrogate
 module Surrogate2d = Ascend_cost.Surrogate2d
@@ -14,7 +13,8 @@ type entry = Surrogate.entry = {
 type costing = [ `Exact | `Surrogate ]
 
 (* Phase-aware pricing for one LLM on one core.  Same shape as the
-   serving oracle (private single-domain service, deltas folded into the
+   serving oracle (private single-domain service, the shared
+   {!Ascend_serving.Cost.run_exact} with its deltas folded into the
    oracle's own counters) with two differences: decode steps are a
    function of (batch, cache length) so the surrogate tier is the 2-D
    grid of {!Ascend_cost.Surrogate2d}, and prefill — once per request,
@@ -62,48 +62,29 @@ let core t = t.core
 let costing t = t.costing
 let llm t = t.cfg
 
-let exact t graph =
-  let before = Service.stats t.service in
-  let r =
-    match Service.run_inference t.service t.core graph with
+(* the exact tier behind [memo]; errors are not memoised *)
+let memoised t memo key graph =
+  match Hashtbl.find_opt memo key with
+  | Some e -> Ok e
+  | None -> (
+    let x = Ascend_serving.Cost.run_exact t.service t.core (graph ()) in
+    t.hits <- t.hits + x.group_hits;
+    t.misses <- t.misses + x.group_misses;
+    match x.result with
     | Error _ as e -> e
-    | Ok nr ->
-      Ok
-        {
-          cycles = nr.Engine.total_cycles;
-          latency_s = Engine.seconds nr;
-          energy_j = nr.Engine.total_energy_j;
-        }
-  in
-  let after = Service.stats t.service in
-  t.hits <-
-    t.hits + (after.Ascend_exec.Cache.hits - before.Ascend_exec.Cache.hits);
-  t.misses <-
-    t.misses
-    + (after.Ascend_exec.Cache.misses - before.Ascend_exec.Cache.misses);
-  r
+    | Ok e ->
+      Hashtbl.replace memo key e;
+      Ok e)
 
 let prefill t ~batch ~prompt_len =
   if batch < 1 then invalid_arg "Decode.Cost.prefill: batch < 1";
   if prompt_len < 1 then invalid_arg "Decode.Cost.prefill: prompt_len < 1";
-  match Hashtbl.find_opt t.prefill_memo (batch, prompt_len) with
-  | Some e -> Ok e
-  | None -> (
-    match exact t (Llm.prefill ~batch ~seq_len:prompt_len t.cfg) with
-    | Error _ as e -> e
-    | Ok e ->
-      Hashtbl.replace t.prefill_memo (batch, prompt_len) e;
-      Ok e)
+  memoised t t.prefill_memo (batch, prompt_len) (fun () ->
+      Llm.prefill ~batch ~seq_len:prompt_len t.cfg)
 
 let exact_decode t ~batch ~cache_len =
-  match Hashtbl.find_opt t.decode_memo (batch, cache_len) with
-  | Some e -> Ok e
-  | None -> (
-    match exact t (Llm.decode ~batch ~cache_len t.cfg) with
-    | Error _ as e -> e
-    | Ok e ->
-      Hashtbl.replace t.decode_memo (batch, cache_len) e;
-      Ok e)
+  memoised t t.decode_memo (batch, cache_len) (fun () ->
+      Llm.decode ~batch ~cache_len t.cfg)
 
 let grid t =
   match t.grid with

@@ -32,6 +32,8 @@ let build ?hbm_bytes_per_node ~nodes specs =
           invalid_arg "Placement.build: negative weight bytes";
         if kv_bytes < 0 then
           invalid_arg "Placement.build: negative kv bytes";
+        if replicas < 0 then
+          invalid_arg "Placement.build: negative replica count";
         (match hbm_bytes_per_node with
         | Some cap when weight_bytes + kv_bytes > cap ->
           (* no replica choice can serve this model: its weights plus
@@ -45,7 +47,7 @@ let build ?hbm_bytes_per_node ~nodes specs =
         | _ -> ());
         let home = stable_home ~nodes model in
         let count =
-          if replicas <= 0 || replicas >= nodes then nodes else replicas
+          if replicas = 0 || replicas >= nodes then nodes else replicas
         in
         let replicas =
           List.sort compare (List.init count (fun i -> (home + i) mod nodes))

@@ -27,14 +27,14 @@ type t = { nodes : int; entries : entry list }
 val build :
   ?hbm_bytes_per_node:int -> nodes:int -> (string * int * int * int) list -> t
 (** [build ~nodes specs] with [specs] listing (model, weight_bytes,
-    kv_bytes, replicas).  A replica count [<= 0] or [>= nodes] replicates
+    kv_bytes, replicas).  A replica count [0] or [>= nodes] replicates
     on every node (hot); [1] pins the model to its home node only (cold);
     [r] spreads over [r] consecutive nodes starting at the home.  Raises
     [Invalid_argument] on [nodes < 1], duplicate model names, negative
-    weight or kv bytes, or — when [hbm_bytes_per_node] is given — a
-    single model whose weights plus reserved KV cache exceed a node's
-    HBM on their own (unservable on any node; whole-plan overcommit is
-    {!verify_plan}'s job). *)
+    weight or kv bytes, a negative replica count, or — when
+    [hbm_bytes_per_node] is given — a single model whose weights plus
+    reserved KV cache exceed a node's HBM on their own (unservable on
+    any node; whole-plan overcommit is {!verify_plan}'s job). *)
 
 val verify_plan :
   ?hbm_bytes_per_node:int -> policy:string -> t ->

@@ -90,6 +90,8 @@ type length_dist =
 let validate_length_dist = function
   | Fixed n -> if n < 1 then invalid_arg "Load_gen.lengths: fixed length < 1"
   | Geometric { mean; max_len } ->
+    if not (Float.is_finite mean) then
+      invalid_arg "Load_gen.lengths: geometric mean not finite";
     if mean < 1. then invalid_arg "Load_gen.lengths: geometric mean < 1";
     if max_len < 1 then invalid_arg "Load_gen.lengths: geometric max_len < 1"
 

@@ -51,7 +51,7 @@ val lengths : length_dist -> seed:int -> n:int -> int list
 (** [n] per-request token counts, a pure function of (dist, seed, n) —
     the decode serving loop draws prompt and output lengths here so a
     trace is reproducible end to end.  Raises [Invalid_argument] on a
-    negative [n], a fixed length < 1, a geometric mean < 1 or a
-    geometric [max_len] < 1. *)
+    negative [n], a fixed length < 1, a geometric mean that is not
+    finite or is < 1, or a geometric [max_len] < 1. *)
 
 val length_dist_name : length_dist -> string

@@ -52,9 +52,13 @@ fleet gesture --core tiny --duration 0.1 --closed 2 --think-ms nan
 fleet gesture --core tiny --duration 0.1 --closed 2 --think-ms=-1
 fleet gesture --core tiny --duration 0.1 --slo-ms nan
 fleet gesture --core tiny --duration 0.1 --slo-ms=-5
+fleet gesture --core tiny --duration 0.1 --replicas=-1
 decode --core lite --duration 0.05 --rate 0
 decode --core lite --duration 0.05 --rate nan
 decode --core lite --duration 0.05 --rate inf
 decode --core lite --duration nan
+decode --core lite --duration 0.05 --prompt-mean nan
+decode --core lite --duration 0.05 --prompt-mean inf
+decode --core lite --duration 0.05 --output-mean nan
 CASES
 exit $status

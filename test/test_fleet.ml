@@ -46,7 +46,10 @@ let test_placement_structure () =
     (Json.to_string (Placement.to_json p2));
   Alcotest.check_raises "duplicate models rejected"
     (Invalid_argument "Placement.build: duplicate model names") (fun () ->
-      ignore (Placement.build ~nodes:2 [ ("m", 1, 0, 0); ("m", 1, 0, 0) ]))
+      ignore (Placement.build ~nodes:2 [ ("m", 1, 0, 0); ("m", 1, 0, 0) ]));
+  Alcotest.check_raises "negative replica count rejected"
+    (Invalid_argument "Placement.build: negative replica count") (fun () ->
+      ignore (Placement.build ~nodes:2 [ ("m", 1, 0, -1) ]))
 
 let test_placement_hbm_capacity () =
   (* a model whose weights alone overflow a node's HBM is unservable on
@@ -446,13 +449,14 @@ let print_fleet_case c =
               | Closed (k, t) -> Printf.sprintf "closed %d think %gms" k t))
           c.models))
 
-(* conservation, causality and determinism of Fleet.run: the kernel
-   numbers requests 0, 1, ... as it makes them, so every generated
-   request appearing exactly once means the record ids are exactly
-   0..n-1 and each model's n is what its load generated.  A closed-loop
-   model makes one request per client plus one re-issue per completion
-   whose think time ends inside the window: with zero think time that
-   is every completion finishing before the window closes. *)
+(* conservation, causality, no core double-booking and determinism of
+   Fleet.run: the kernel numbers requests 0, 1, ... as it makes them,
+   so every generated request appearing exactly once means the record
+   ids are exactly 0..n-1 and each model's n is what its load
+   generated.  A closed-loop model makes one request per client plus
+   one re-issue per completion whose think time ends inside the window:
+   with zero think time that is every completion finishing before the
+   window closes. *)
 let fleet_invariants_prop =
   QCheck.Test.make ~count:50 ~name:"random fleets conserve requests"
     (QCheck.make ~print:print_fleet_case fleet_case_gen)
@@ -524,6 +528,35 @@ let fleet_invariants_prop =
         || (rc.Request.request.Request.arrival_s <= rc.Request.start_s +. 1e-12
            && rc.Request.start_s <= rc.Request.finish_s)
       in
+      (* no core is double-booked: a batch's records share (node, core,
+         start) and one finish, and one core's batches in start order
+         must not overlap, up to the same clock tolerance *)
+      let spans = Hashtbl.create 64 and one_finish = ref true in
+      List.iter
+        (fun (node, rc) ->
+          if rc.Request.outcome = Request.Completed then begin
+            let key = (node, rc.Request.core) in
+            let batches =
+              Option.value ~default:[] (Hashtbl.find_opt spans key)
+            in
+            match List.assoc_opt rc.Request.start_s batches with
+            | Some finish ->
+              if finish <> rc.Request.finish_s then one_finish := false
+            | None ->
+              Hashtbl.replace spans key
+                ((rc.Request.start_s, rc.Request.finish_s) :: batches)
+          end)
+        r.Fleet.records;
+      let rec disjoint = function
+        | (_, f) :: ((s, _) :: _ as rest) -> s >= f -. 1e-12 && disjoint rest
+        | _ -> true
+      in
+      let not_double_booked =
+        !one_finish
+        && Hashtbl.fold
+             (fun _ batches ok -> ok && disjoint (List.sort compare batches))
+             spans true
+      in
       let summaries = r.Fleet.fleet_metrics.Metrics.summaries in
       List.map (fun rc -> rc.Request.request.Request.id) records
       = List.init n Fun.id
@@ -534,6 +567,7 @@ let fleet_invariants_prop =
            summaries
       && List.fold_left (fun a s -> a + s.Metrics.offered) 0 summaries = n
       && List.for_all causal records
+      && not_double_booked
       && Json.to_string (Fleet.to_json (run_ok config specs))
          = Json.to_string (Fleet.to_json r))
 

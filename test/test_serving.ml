@@ -75,6 +75,21 @@ let test_load_gen_rejects_bad_specs () =
       ("infinite bursty factor", Float.infinity, 0.1);
       ("nan burst period", 4., Float.nan);
       ("infinite burst period", 4., Float.infinity);
+    ];
+  List.iter
+    (fun (label, mean) ->
+      Alcotest.(check bool) label true
+        (try
+           ignore
+             (Load_gen.lengths
+                (Load_gen.Geometric { mean; max_len = 8 })
+                ~seed:0 ~n:1);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("nan geometric mean", Float.nan);
+      ("infinite geometric mean", Float.infinity);
+      ("geometric mean below 1", 0.5);
     ]
 
 let arrivals_well_formed_prop =
@@ -586,6 +601,119 @@ let test_serve_offline_bound () =
   Alcotest.(check int) "one offline app per model" 1
     (List.length (Serve.scheduler_apps r))
 
+(* ------------------------------------------------------------------ *)
+(* The memoised cost oracle against the per-lookup path               *)
+
+let face_detect ~batch = Ascend.Nn.Face_detect.build ~batch ()
+
+(* Serving.Cost as it was before its (model, batch) memo, as the
+   reference: every exact pricing rebuilds the graph, partitions it and
+   probes the service's cache group by group *)
+module Uncached = struct
+  module Service = Ascend.Exec.Service
+  module Cache = Ascend.Exec.Cache
+  module Engine = Ascend.Compiler.Engine
+  module Surrogate = Ascend.Cost.Surrogate
+
+  type t = {
+    service : Service.t;
+    costing : Cost.costing;
+    max_batch : int;
+    fits : (string, Surrogate.t) Hashtbl.t;
+    mutable hits : int;
+    mutable misses : int;
+    mutable interpolated : int;
+    mutable fallbacks : int;
+  }
+
+  let create ~costing ~max_batch =
+    {
+      service = Service.create ~jobs:1 ?dir:(Service.env_cache_dir ()) ();
+      costing;
+      max_batch;
+      fits = Hashtbl.create 8;
+      hits = 0;
+      misses = 0;
+      interpolated = 0;
+      fallbacks = 0;
+    }
+
+  let exact t ~build ~batch =
+    let before = Service.stats t.service in
+    let r =
+      match Service.run_inference t.service Config.tiny (build ~batch) with
+      | Error _ as e -> e
+      | Ok nr ->
+        Ok
+          {
+            Cost.cycles = nr.Engine.total_cycles;
+            latency_s = Engine.seconds nr;
+            energy_j = nr.Engine.total_energy_j;
+          }
+    in
+    let after = Service.stats t.service in
+    t.hits <- t.hits + (after.Cache.hits - before.Cache.hits);
+    t.misses <- t.misses + (after.Cache.misses - before.Cache.misses);
+    r
+
+  let fit t ~model ~build =
+    match Hashtbl.find_opt t.fits model with
+    | Some f -> Ok f
+    | None -> (
+      match
+        Ascend.Cost.Calibration.fit ~model
+          ~price:(fun ~batch -> exact t ~build ~batch)
+          ~max_batch:t.max_batch ()
+      with
+      | Ok f ->
+        Hashtbl.replace t.fits model f;
+        Ok f
+      | Error _ as e -> e)
+
+  let lookup t ~model ~build ~batch =
+    match t.costing with
+    | `Exact -> exact t ~build ~batch
+    | `Surrogate -> (
+      match fit t ~model ~build with
+      | Error _ as e -> e
+      | Ok f -> (
+        match Surrogate.lookup f ~batch with
+        | Some e ->
+          t.interpolated <- t.interpolated + 1;
+          Ok e
+        | None ->
+          t.fallbacks <- t.fallbacks + 1;
+          exact t ~build ~batch))
+end
+
+(* random (model, batch) lookup sequences over two tiny-core models,
+   under both tiers: batches past max_batch make the surrogate fall
+   back; every answer and every counter must match after each lookup *)
+let memo_matches_uncached_prop =
+  QCheck.Test.make ~count:8 ~name:"memoised oracle equals the uncached oracle"
+    QCheck.(list_of_size (Gen.int_range 1 30) (pair bool (int_range 1 6)))
+    (fun lookups ->
+      List.for_all
+        (fun costing ->
+          let max_batch = 4 in
+          let memo = Cost.create ~costing ~max_batch ~core:Config.tiny () in
+          let reference = Uncached.create ~costing ~max_batch in
+          List.for_all
+            (fun (g, batch) ->
+              let model, build =
+                if g then ("gesture", gesture) else ("face-detect", face_detect)
+              in
+              Cost.lookup memo ~model ~build ~batch
+              = Uncached.lookup reference ~model ~build ~batch
+              && Cost.hits memo = reference.Uncached.hits
+              && Cost.misses memo = reference.Uncached.misses
+              && Cost.interpolated memo = reference.Uncached.interpolated
+              && Cost.fallbacks memo = reference.Uncached.fallbacks
+              && Cost.stats memo
+                 = Uncached.Service.stats reference.Uncached.service)
+            lookups)
+        [ `Exact; `Surrogate ])
+
 let test_serve_rejects_bad_inputs () =
   Alcotest.(check bool) "empty spec list raises" true
     (try
@@ -652,4 +780,5 @@ let () =
           Alcotest.test_case "invalid inputs" `Quick
             test_serve_rejects_bad_inputs;
         ] );
+      ( "cost", [ q memo_matches_uncached_prop ] );
     ]
